@@ -258,9 +258,10 @@ type Stats struct {
 	Elapsed time.Duration
 	// WorkTime is the summed busy time of the campaign's work units.
 	// For a serial campaign it equals Elapsed; for RunParallel it is
-	// the sum of per-unit elapsed times, so WorkTime/Elapsed
-	// approximates the effective worker parallelism. It includes
-	// triage and (in serial campaigns) hub syncs.
+	// the sum over units of each worker's time on the unit outside hub
+	// exchanges (warm-start merge, campaign loop, result merge), so
+	// WorkTime/Elapsed approximates the effective worker parallelism.
+	// It includes triage and (in serial campaigns) hub syncs.
 	WorkTime time.Duration
 	// TriageTime is the portion of WorkTime spent minimizing crash
 	// repros (zero with Config.NoTriage).

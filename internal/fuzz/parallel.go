@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"time"
 
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
@@ -156,8 +157,9 @@ func (f *Fuzzer) RunParallel(ctx context.Context, cfg Config, shards int) (*Stat
 	// merged (cumulative, monotone) campaign state, and pulled remote
 	// seeds warm-start the units that launch afterwards.
 	var remote []seedpool.SeedState
-	hubExchange := func(st SyncState) {
-		t0 := clk.Now()
+	// hubExchange runs one exchange and counts it as sync time from
+	// t0, when the exchange began.
+	hubExchange := func(t0 time.Time, st SyncState) {
 		pulled, err := cfg.Hub.Sync(ctx, st)
 		d := clk.Now().Sub(t0)
 		mu.Lock()
@@ -178,6 +180,7 @@ func (f *Fuzzer) RunParallel(ctx context.Context, cfg Config, shards int) (*Stat
 		})
 	}
 	pool.Run(pool.Clamp(plan.units, shards, runtime.GOMAXPROCS(0)), plan.units, func(i int) {
+		t0 := clk.Now()
 		c := cfg
 		c.Execs = plan.budget(i)
 		c.Seed = unitSeed(cfg.Seed, i)
@@ -230,15 +233,23 @@ func (f *Fuzzer) RunParallel(ctx context.Context, cfg Config, shards int) (*Stat
 		if cfg.Progress != nil {
 			emit()
 		}
+		// A unit is busy for all of its worker's time outside the hub
+		// exchange: the warm-start merge and this bookkeeping as well
+		// as the campaign loop. The planner calibrates on WorkTime and
+		// SyncTime together covering the workers' time.
+		t1 := clk.Now()
+		merged.WorkTime += t1.Sub(t0) - unit.WorkTime
 		mu.Unlock()
 		if sync != nil {
-			hubExchange(*sync) // outside mu: a slow hub must not stall merges
+			hubExchange(t1, *sync) // outside mu: a slow hub must not stall merges
 		}
 	})
 	if cfg.Hub != nil {
 		// Campaign-end push: the deterministic merged corpus and final
 		// counters, marked Final so the hub can close out the worker.
-		hubExchange(SyncState{
+		// No unit owns it, so merging the corpus counts as sync time.
+		t0 := clk.Now()
+		hubExchange(t0, SyncState{
 			Seeds: corpusstore.Merge(corpusCap(cfg), append([][]seedpool.SeedState{seeds}, exports...)...),
 			Cover: merged.Cover.Clone(), Execs: merged.Execs,
 			Crashes: crashList(merged), Ops: append([]OpStat(nil), merged.Ops...),

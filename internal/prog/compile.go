@@ -33,12 +33,13 @@ func Compile(f *syzlang.File, env *syzlang.Env) (*Target, error) {
 		ByName:    map[string]*Syscall{},
 		Resources: map[string]*ResourceDesc{},
 		creators:  map[string][]int{},
-		consumers: map[string][]int{},
+		consumers: map[string][]*Syscall{},
 	}
 	for _, r := range f.Resources {
 		t.Resources[r.Name] = &ResourceDesc{Name: r.Name, Base: r.Base}
 	}
 	c.target = t
+	direct := map[string][]int{} // resource → IDs taking it as an argument
 	for _, s := range f.Syscalls {
 		sc := &Syscall{Name: s.Name(), CallName: s.CallName, Ret: s.Ret, ID: len(t.Syscalls)}
 		for _, a := range s.Args {
@@ -55,7 +56,7 @@ func Compile(f *syzlang.File, env *syzlang.Env) (*Target, error) {
 		t.ByName[sc.Name] = sc
 		for _, a := range sc.Args {
 			if a.Type.Kind == KindResource {
-				t.consumers[a.Type.Res] = append(t.consumers[a.Type.Res], sc.ID)
+				direct[a.Type.Res] = append(direct[a.Type.Res], sc.ID)
 			}
 		}
 		if s.Ret != "" {
@@ -70,7 +71,36 @@ func Compile(f *syzlang.File, env *syzlang.Env) (*Target, error) {
 			}
 		}
 	}
+	seen := make([]int, len(t.Syscalls)) // seen[id] == stamp: listed for this resource
+	stamp := 0
+	for name := range t.Resources {
+		stamp++
+		t.consumers[name] = consumerClosure(t, direct, name, seen, stamp)
+	}
 	return t, nil
+}
+
+// consumerClosure lists the consumers of res and of each of its
+// ancestors, nearest first, each syscall once (seen[id] == stamp marks
+// one already listed). The walk visits at most every resource plus the
+// builtin base, so a cyclic base chain cannot hang it.
+func consumerClosure(t *Target, direct map[string][]int, res string, seen []int, stamp int) []*Syscall {
+	var out []*Syscall
+	cur := res
+	for i := 0; i <= len(t.Resources); i++ {
+		for _, id := range direct[cur] {
+			if seen[id] != stamp {
+				seen[id] = stamp
+				out = append(out, t.Syscalls[id])
+			}
+		}
+		r := t.Resources[cur]
+		if r == nil || r.Base == "" {
+			break
+		}
+		cur = r.Base
+	}
+	return out
 }
 
 type compiler struct {

@@ -22,6 +22,23 @@ type Gen struct {
 	// after the consumer.
 	resLimited bool
 	resLimit   int
+	// borrowed holds the seed's calls while Mutate or MutateOp builds
+	// a mutant. A call of the mutant that is one of them is shared
+	// with the seed and is copied (own) before anything writes it.
+	borrowed []*Call
+	// Scratch buffers, reused from one call to the next so that
+	// building a program allocates only the program: related and the
+	// generation-stamped seen set (indexed by Syscall.ID) back
+	// chooseCall, cands the resource-candidate lists, refs the
+	// mutation-site lists, and ints and queue the index bookkeeping
+	// of remove and shuffle.
+	related []*Syscall
+	seen    []uint32
+	stamp   uint32
+	cands   []int
+	refs    []valueRef
+	ints    []int
+	queue   []int
 }
 
 // NewGen returns a generator with the given seed.
@@ -68,25 +85,39 @@ func (g *Gen) Generate(maxCalls int) *Prog {
 // use-after-free chain) is essentially unreachable in large suites.
 func (g *Gen) chooseCall(p *Prog, calls []*Syscall) *Syscall {
 	if !g.NoLocality && len(p.Calls) > 0 && g.R.Intn(3) != 0 {
-		var related []*Syscall
-		seen := map[int]bool{}
-		for _, c := range p.Calls {
-			if c.Sc.Ret == "" {
-				continue
-			}
-			for _, sc := range g.T.Consumers(c.Sc.Ret) {
-				if seen[sc.ID] || (g.Enabled != nil && !g.Enabled[sc.Name]) {
-					continue
-				}
-				seen[sc.ID] = true
-				related = append(related, sc)
-			}
-		}
-		if len(related) > 0 {
+		if related := g.relatedCalls(p); len(related) > 0 {
 			return related[g.R.Intn(len(related))]
 		}
 	}
 	return calls[g.R.Intn(len(calls))]
+}
+
+// relatedCalls lists, each once and in call order, the enabled
+// consumers of every resource p's calls produce. The result lives in
+// a buffer the next call reuses.
+func (g *Gen) relatedCalls(p *Prog) []*Syscall {
+	if len(g.seen) != len(g.T.Syscalls) {
+		g.seen, g.stamp = make([]uint32, len(g.T.Syscalls)), 0
+	}
+	if g.stamp++; g.stamp == 0 {
+		clear(g.seen)
+		g.stamp = 1
+	}
+	related := g.related[:0]
+	for _, c := range p.Calls {
+		if c.Sc.Ret == "" {
+			continue
+		}
+		for _, sc := range g.T.Consumers(c.Sc.Ret) {
+			if g.seen[sc.ID] == g.stamp || (g.Enabled != nil && !g.Enabled[sc.Name]) {
+				continue
+			}
+			g.seen[sc.ID] = g.stamp
+			related = append(related, sc)
+		}
+	}
+	g.related = related
+	return related
 }
 
 const maxCreatorDepth = 6
@@ -97,9 +128,9 @@ func (g *Gen) appendCall(p *Prog, sc *Syscall, depth int) int {
 	if depth > maxCreatorDepth {
 		return -1
 	}
-	args := make([]*Value, len(sc.Args))
+	args := newValues(len(sc.Args))
 	for i, f := range sc.Args {
-		args[i] = g.genValue(p, f.Type, depth)
+		g.genValueInto(args[i], p, f.Type, depth)
 	}
 	call := &Call{Sc: sc, Args: args}
 	call.FixupLens()
@@ -121,7 +152,29 @@ func (g *Gen) genValueAt(p *Prog, ty *Type, callIdx int) *Value {
 // genValue builds a random value for ty, possibly appending creator
 // calls to p first (so resource ResultOf indices stay valid).
 func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
-	v := &Value{Type: ty, ResultOf: -1}
+	v := new(Value)
+	g.genValueInto(v, p, ty, depth)
+	return v
+}
+
+// newValues returns n pointers to zero values that share one backing
+// array: a struct, an array or an argument list costs two allocations
+// rather than one per member.
+func newValues(n int) []*Value {
+	if n <= 0 {
+		return nil
+	}
+	vals := make([]Value, n)
+	ptrs := make([]*Value, n)
+	for i := range ptrs {
+		ptrs[i] = &vals[i]
+	}
+	return ptrs
+}
+
+// genValueInto is genValue building into the zero value v.
+func (g *Gen) genValueInto(v *Value, p *Prog, ty *Type, depth int) {
+	v.Type, v.ResultOf = ty, -1
 	switch ty.Kind {
 	case KindConst:
 		v.Scalar = ty.Val
@@ -137,7 +190,7 @@ func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
 		v.ResultOf = g.findOrMakeResource(p, ty.Res, depth)
 	case KindPtr:
 		if g.R.Intn(50) == 0 {
-			return v // occasional NULL pointer
+			return // occasional NULL pointer
 		}
 		v.Ptr = g.genValue(p, ty.Elem, depth)
 	case KindString:
@@ -157,20 +210,22 @@ func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
 				count = g.R.Intn(8)
 			}
 		}
-		for i := 0; i < count; i++ {
-			v.Fields = append(v.Fields, g.genValue(p, ty.Elem, depth))
+		v.Fields = newValues(count)
+		for _, f := range v.Fields {
+			g.genValueInto(f, p, ty.Elem, depth)
 		}
 	case KindStruct:
-		for i := range ty.Fields {
-			v.Fields = append(v.Fields, g.genValue(p, ty.Fields[i].Type, depth))
+		v.Fields = newValues(len(ty.Fields))
+		for i, f := range v.Fields {
+			g.genValueInto(f, p, ty.Fields[i].Type, depth)
 		}
 	case KindUnion:
 		if len(ty.Fields) > 0 {
 			v.UnionIdx = g.R.Intn(len(ty.Fields))
-			v.Fields = []*Value{g.genValue(p, ty.Fields[v.UnionIdx].Type, depth)}
+			v.Fields = newValues(1)
+			g.genValueInto(v.Fields[0], p, ty.Fields[v.UnionIdx].Type, depth)
 		}
 	}
-	return v
 }
 
 // genInt picks an integer: mostly small/boundary values (which is
@@ -222,12 +277,13 @@ func (g *Gen) findOrMakeResource(p *Prog, res string, depth int) int {
 	if g.resLimited && g.resLimit < limit {
 		limit = g.resLimit
 	}
-	var candidates []int
+	candidates := g.cands[:0]
 	for i, c := range p.Calls[:limit] {
 		if c.Sc.Ret != "" && g.T.compatible(c.Sc.Ret, res) {
 			candidates = append(candidates, i)
 		}
 	}
+	g.cands = candidates
 	if g.resLimited {
 		// Mid-program regeneration: bind to an existing producer or
 		// pass a bad fd; appending a creator here would place it after

@@ -4,15 +4,23 @@ package prog
 // operator.go as named Operator implementations; this file holds the
 // generic drivers (Mutate for uniform selection, MutateOp for
 // scheduler-driven selection) and the shared call-level helpers.
+//
+// Mutation is copy-on-write. Most mutants are executed once and
+// dropped, so a mutant starts as a fresh Calls slice that borrows the
+// seed's *Call values, and an operator copies a call (Gen.own) only
+// just before it writes into it. The mutant therefore shares every
+// call it did not change with its seed.
 
-// Mutate returns a mutated copy of p (p itself is never modified),
-// applying 1–3 uniformly chosen operators. It is the
-// feedback-agnostic path; scheduler-driven campaigns use MutateOp.
+// Mutate returns a mutated version of p, applying 1–3 uniformly
+// chosen operators. It is the feedback-agnostic path; scheduler-driven
+// campaigns use MutateOp. p itself is never modified, but the result
+// may share unmodified calls with it, so treat both as read-only:
+// Clone a program before editing it in place.
 func (g *Gen) Mutate(p *Prog, maxCalls int) *Prog {
-	m := p.Clone()
-	if len(m.Calls) == 0 {
+	if len(p.Calls) == 0 {
 		return g.Generate(maxCalls)
 	}
+	m := g.borrow(p)
 	ops := defaultOps
 	ctx := &MutateCtx{MaxCalls: maxCalls}
 	nops := 1 + g.R.Intn(3)
@@ -28,7 +36,7 @@ func (g *Gen) Mutate(p *Prog, maxCalls int) *Prog {
 // the slice across goroutines is safe.
 var defaultOps = DefaultOperators()
 
-// MutateOp returns a copy of p mutated by one specific operator —
+// MutateOp returns a version of p mutated by one specific operator —
 // the scheduler-driven path, where each mutation is credited to
 // exactly one operator. If op is inapplicable to p (for example
 // splice without a donor), a fallback mutation runs instead so the
@@ -36,16 +44,62 @@ var defaultOps = DefaultOperators()
 // the operator that actually mutated the program — the requested op,
 // the fallback, or nil when nothing applied (coverage credit must
 // follow the operator that did the work, not the one that was asked).
+//
+// p is never modified, but the mutant may share unmodified calls
+// with it. Programs kept in a pool are therefore read-only: Clone one
+// before editing it in place. Many goroutines may mutate the same
+// seed at once, each with its own Gen.
 func (g *Gen) MutateOp(p *Prog, op Operator, ctx *MutateCtx) (*Prog, Operator) {
-	m := p.Clone()
-	if len(m.Calls) == 0 {
+	if len(p.Calls) == 0 {
 		return g.Generate(ctx.maxCalls()), nil
 	}
+	m := g.borrow(p)
 	applied := op
 	if !op.Apply(g, m, ctx) {
 		applied = g.fallbackMutate(m, ctx)
 	}
 	return g.finishMutation(m, ctx.maxCalls()), applied
+}
+
+// borrow starts a copy-on-write mutant of p: a fresh Calls slice
+// holding p's calls, which stay shared until own copies them.
+func (g *Gen) borrow(p *Prog) *Prog {
+	g.borrowed = p.Calls
+	calls := make([]*Call, len(p.Calls), len(p.Calls)+2)
+	copy(calls, p.Calls)
+	return &Prog{Calls: calls}
+}
+
+// isBorrowed reports whether c is one of the seed's calls, shared
+// with the mutant under construction.
+func (g *Gen) isBorrowed(c *Call) bool {
+	for _, b := range g.borrowed {
+		if b == c {
+			return true
+		}
+	}
+	return false
+}
+
+// own makes p.Calls[i] writable: a call borrowed from the seed is
+// replaced by a private deep copy. It reports whether it copied.
+// Operators call it before writing into an existing call; outside
+// Mutate and MutateOp nothing is borrowed and it is a no-op.
+func (g *Gen) own(p *Prog, i int) bool {
+	if !g.isBorrowed(p.Calls[i]) {
+		return false
+	}
+	p.Calls[i] = p.Calls[i].clone()
+	return true
+}
+
+// ownValue owns the call holding ref and returns ref's value in the
+// owned call.
+func (g *Gen) ownValue(p *Prog, ref valueRef) *Value {
+	if g.own(p, ref.call) {
+		return p.Calls[ref.call].valueAt(ref.pos)
+	}
+	return ref.v
 }
 
 // fallbackMutate guarantees an inapplicable operator draw still
@@ -66,11 +120,21 @@ func (g *Gen) fallbackMutate(m *Prog, ctx *MutateCtx) Operator {
 }
 
 // finishMutation recomputes length fields and regenerates when a
-// mutation emptied the program.
+// mutation emptied the program. A borrowed call keeps its lengths
+// unless they are stale (a seed deserialized from text need not have
+// them right); then it is owned and fixed like any written call.
 func (g *Gen) finishMutation(m *Prog, maxCalls int) *Prog {
-	for _, c := range m.Calls {
+	for i, c := range m.Calls {
+		if g.isBorrowed(c) {
+			if !c.lensStale() {
+				continue
+			}
+			g.own(m, i)
+			c = m.Calls[i]
+		}
 		c.FixupLens()
 	}
+	g.borrowed = nil
 	if len(m.Calls) == 0 {
 		return g.Generate(maxCalls)
 	}
@@ -80,39 +144,37 @@ func (g *Gen) finishMutation(m *Prog, maxCalls int) *Prog {
 // mutateArg tweaks one randomly chosen value inside one call.
 func (g *Gen) mutateArg(p *Prog) bool {
 	idx := g.R.Intn(len(p.Calls))
-	call := p.Calls[idx]
-	var mutable []*Value
-	call.ForEachValue(func(v *Value) {
+	mutable := g.refs[:0]
+	pos := 0
+	p.Calls[idx].ForEachValue(func(v *Value) {
+		ok := false
 		switch v.Type.Kind {
 		case KindInt, KindArray:
-			mutable = append(mutable, v)
+			ok = true
 		case KindFlags:
-			if len(v.Type.Vals) > 0 {
-				mutable = append(mutable, v)
-			}
+			ok = len(v.Type.Vals) > 0
 		case KindString, KindBuffer:
 			// Fixed string literals and empty buffers have nothing to
 			// corrupt; listing them would make mutateArg a no-op.
-			if len(v.Data) > 0 && v.Type.Str == "" {
-				mutable = append(mutable, v)
-			}
+			ok = len(v.Data) > 0 && v.Type.Str == ""
 		case KindUnion:
-			if len(v.Type.Fields) > 1 {
-				mutable = append(mutable, v)
-			}
+			ok = len(v.Type.Fields) > 1
 		case KindConst:
 			// Corrupting consts is allowed but rare: it probes the
 			// kernel's invalid-command handling without destroying
 			// most of the program's validity.
-			if g.R.Intn(20) == 0 {
-				mutable = append(mutable, v)
-			}
+			ok = g.R.Intn(20) == 0
 		}
+		if ok {
+			mutable = append(mutable, valueRef{call: idx, pos: pos, v: v})
+		}
+		pos++
 	})
+	g.refs = mutable
 	if len(mutable) == 0 {
 		return false
 	}
-	v := mutable[g.R.Intn(len(mutable))]
+	v := g.ownValue(p, mutable[g.R.Intn(len(mutable))])
 	switch v.Type.Kind {
 	case KindInt, KindConst:
 		switch g.R.Intn(4) {
@@ -142,7 +204,7 @@ func (g *Gen) mutateArg(p *Prog) bool {
 
 // mutateArray grows, shrinks, or regenerates an element of the array
 // value v, which lives inside call callIdx (element regeneration must
-// bind resources strictly before that call).
+// bind resources strictly before that call). The caller owns the call.
 func (g *Gen) mutateArray(p *Prog, callIdx int, v *Value) {
 	if v.Type.FixedLen >= 0 {
 		// Fixed arrays only mutate elements.
@@ -174,17 +236,29 @@ func (g *Gen) mutateArray(p *Prog, callIdx int, v *Value) {
 // alternative producer are dropped too (cascading), so the surviving
 // program never holds a dangling or forward result index.
 func (g *Gen) removeCall(p *Prog) bool {
-	if len(p.Calls) <= 1 {
+	n := len(p.Calls)
+	if n <= 1 {
 		return false
 	}
-	victim := g.R.Intn(len(p.Calls))
-	dropped := map[int]bool{victim: true}
-	queue := []int{victim}
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
-		for ci := d + 1; ci < len(p.Calls); ci++ {
-			if dropped[ci] {
+	victim := g.R.Intn(n)
+	// Only a call referring to the victim or a later call is rewired
+	// or renumbered; every other call is left as it is.
+	for ci := victim + 1; ci < n; ci++ {
+		if refersIn(p.Calls[ci], victim, n) {
+			g.own(p, ci)
+		}
+	}
+	// remap doubles as the dropped set (-1) until compaction.
+	remap := g.intsN(n)
+	clear(remap)
+	dropped := func(i int) bool { return remap[i] < 0 }
+	remap[victim] = -1
+	ndropped := 1
+	queue := append(g.queue[:0], victim)
+	for qi := 0; qi < len(queue); qi++ {
+		d := queue[qi]
+		for ci := d + 1; ci < n; ci++ {
+			if dropped(ci) {
 				continue
 			}
 			keep := true
@@ -192,42 +266,64 @@ func (g *Gen) removeCall(p *Prog) bool {
 				if v.Type.Kind != KindResource || v.ResultOf != d {
 					return
 				}
-				if alt := g.findCompatible(p, ci, v.Type.Res, func(i int) bool { return dropped[i] }); alt >= 0 {
+				if alt := g.findCompatible(p, ci, v.Type.Res, dropped); alt >= 0 {
 					v.ResultOf = alt
 				} else {
 					keep = false
 				}
 			})
 			if !keep {
-				dropped[ci] = true
+				remap[ci] = -1
+				ndropped++
 				queue = append(queue, ci)
 			}
 		}
 	}
-	if len(dropped) >= len(p.Calls) {
+	g.queue = queue
+	if ndropped >= n {
 		return false // would empty the program; let another operator act
 	}
-	// Compact and remap the surviving references.
-	remap := make([]int, len(p.Calls))
-	n := 0
+	// Compact and remap the surviving references. Calls before the
+	// victim keep their index and refer only to earlier calls.
+	k := 0
 	for i, c := range p.Calls {
-		if dropped[i] {
-			remap[i] = -1
+		if dropped(i) {
 			continue
 		}
-		remap[i] = n
-		p.Calls[n] = c
-		n++
+		remap[i] = k
+		p.Calls[k] = c
+		k++
 	}
-	p.Calls = p.Calls[:n]
-	for _, c := range p.Calls {
+	p.Calls = p.Calls[:k]
+	for _, c := range p.Calls[victim:] {
 		c.ForEachValue(func(v *Value) {
-			if v.Type.Kind == KindResource && v.ResultOf >= 0 {
+			if v.Type.Kind == KindResource && v.ResultOf >= 0 && remap[v.ResultOf] != v.ResultOf {
 				v.ResultOf = remap[v.ResultOf]
 			}
 		})
 	}
 	return true
+}
+
+// refersIn reports whether any resource argument of c refers to a
+// call index in [lo, hi).
+func refersIn(c *Call, lo, hi int) bool {
+	found := false
+	c.ForEachValue(func(v *Value) {
+		if v.Type.Kind == KindResource && v.ResultOf >= lo && v.ResultOf < hi {
+			found = true
+		}
+	})
+	return found
+}
+
+// intsN returns the reusable int buffer resized to n.
+func (g *Gen) intsN(n int) []int {
+	if cap(g.ints) < n {
+		g.ints = make([]int, n)
+	}
+	g.ints = g.ints[:n]
+	return g.ints
 }
 
 // Validate checks internal consistency of a program: every ResultOf

@@ -1,5 +1,7 @@
 package prog
 
+import "slices"
+
 // The mutation subsystem is built from named operators. Each operator
 // is one self-contained program transformation; the fuzzing loop
 // selects among them — uniformly, or through the bandit Scheduler —
@@ -15,7 +17,9 @@ type MutateCtx struct {
 	MaxCalls int
 	// Donor supplies a second corpus program for crossover operators
 	// (splice). It may be nil, or return nil, when no corpus exists;
-	// donor-needing operators then report inapplicability.
+	// donor-needing operators then report inapplicability. It may
+	// draw from the mutating Gen's R, but must not generate or mutate
+	// with that Gen: a mutation is in progress.
 	Donor func() *Prog
 }
 
@@ -31,6 +35,13 @@ func (ctx *MutateCtx) maxCalls() int {
 // all randomness from g.R, and reports whether it changed the
 // program. Implementations must keep p valid under p.Validate —
 // resource references only ever point at compatible earlier calls.
+//
+// Under Mutate and MutateOp, p is a copy-on-write mutant: its Calls
+// slice is its own, but its calls may be shared with the seed, which
+// other goroutines may be reading. An operator may reorder, drop and
+// append calls freely, and may write into calls it appended, but must
+// replace an existing call with a deep copy before writing into it
+// (the built-in operators do so through Gen.own).
 type Operator interface {
 	Name() string
 	Apply(g *Gen, p *Prog, ctx *MutateCtx) bool
@@ -70,12 +81,12 @@ func (OpArray) Name() string { return "array" }
 
 // Apply implements Operator.
 func (OpArray) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
-	refs := collectValues(p, func(v *Value) bool { return v.Type.Kind == KindArray })
+	refs := g.collectValues(p, func(v *Value) bool { return v.Type.Kind == KindArray })
 	if len(refs) == 0 {
 		return false
 	}
 	ref := refs[g.R.Intn(len(refs))]
-	g.mutateArray(p, ref.call, ref.v)
+	g.mutateArray(p, ref.call, g.ownValue(p, ref))
 	return true
 }
 
@@ -121,17 +132,13 @@ func (OpDuplicate) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 	if len(p.Calls) == 0 || len(p.Calls) >= ctx.maxCalls()+4 {
 		return false
 	}
-	src := p.Calls[g.R.Intn(len(p.Calls))]
-	nc := &Call{Sc: src.Sc, Args: make([]*Value, len(src.Args))}
-	for i, a := range src.Args {
-		nc.Args[i] = a.clone()
-	}
-	p.Calls = append(p.Calls, nc)
+	p.Calls = append(p.Calls, p.Calls[g.R.Intn(len(p.Calls))].clone())
 	return true
 }
 
 // OpSplice is corpus crossover: it keeps a random prefix of the
-// program and grafts a random suffix of a donor seed onto it.
+// program and grafts copies of a random suffix of a donor seed onto
+// it (only the grafted calls are copied).
 // Resource references inside the grafted suffix are rebased; those
 // pointing into the donor's discarded prefix are rewired to a
 // compatible producer in the spliced program, or degraded to the
@@ -150,9 +157,8 @@ func (OpSplice) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 	if donor == nil || len(donor.Calls) == 0 {
 		return false
 	}
-	graft := donor.Clone()
 	j := 1 + g.R.Intn(len(p.Calls)) // keep p.Calls[:j]
-	k := g.R.Intn(len(graft.Calls)) // graft donor.Calls[k:]
+	k := g.R.Intn(len(donor.Calls)) // graft donor.Calls[k:]
 	max := ctx.maxCalls() + 4
 	if j == len(p.Calls) && j >= max {
 		// Keep-everything cut on a size-capped program: nothing would
@@ -160,8 +166,8 @@ func (OpSplice) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 		return false
 	}
 	p.Calls = p.Calls[:j]
-	for di := k; di < len(graft.Calls) && len(p.Calls) < max; di++ {
-		c := graft.Calls[di]
+	for di := k; di < len(donor.Calls) && len(p.Calls) < max; di++ {
+		c := donor.Calls[di].clone()
 		at := len(p.Calls)
 		c.ForEachValue(func(v *Value) {
 			if v.Type.Kind != KindResource || v.ResultOf < 0 {
@@ -201,13 +207,13 @@ func (OpConstants) Name() string { return "constants" }
 
 // Apply implements Operator.
 func (OpConstants) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
-	refs := collectValues(p, func(v *Value) bool {
+	refs := g.collectValues(p, func(v *Value) bool {
 		return v.Type.Kind == KindInt || v.Type.Kind == KindFlags
 	})
 	if len(refs) == 0 {
 		return false
 	}
-	v := refs[g.R.Intn(len(refs))].v
+	v := g.ownValue(p, refs[g.R.Intn(len(refs))])
 	switch {
 	case v.Type.Kind == KindFlags && len(v.Type.Vals) > 0:
 		switch g.R.Intn(3) {
@@ -255,22 +261,30 @@ func (OpShuffle) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
 	b := a + size
 	m := 1 + g.R.Intn(size-1) // left-rotation amount
 	// perm maps old index -> new index.
-	perm := make([]int, n)
+	perm := g.intsN(n)
 	for i := range perm {
 		perm[i] = i
 	}
-	rotated := make([]*Call, size)
 	for i := 0; i < size; i++ {
-		ni := a + ((i-m)%size+size)%size
-		perm[a+i] = ni
-		rotated[ni-a] = p.Calls[a+i]
+		perm[a+i] = a + ((i-m)%size+size)%size
 	}
-	copy(p.Calls[a:b], rotated)
+	// Rotate the block left by m in place.
+	seg := p.Calls[a:b]
+	slices.Reverse(seg[:m])
+	slices.Reverse(seg[m:])
+	slices.Reverse(seg)
+	// Only calls referring into the rotated block change: every other
+	// reference points before the block or keeps its index.
+	for i := a; i < n; i++ {
+		if refersIn(p.Calls[i], a, b) {
+			g.own(p, i)
+		}
+	}
 	// Remap references through the permutation; any reference the
 	// rotation made forward-pointing is rewired or degraded.
-	for ni, c := range p.Calls {
+	for ni := a; ni < n; ni++ {
 		idx := ni
-		c.ForEachValue(func(v *Value) {
+		p.Calls[ni].ForEachValue(func(v *Value) {
 			if v.Type.Kind != KindResource || v.ResultOf < 0 {
 				return
 			}
@@ -279,31 +293,51 @@ func (OpShuffle) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
 				displaced := nr
 				nr = g.findCompatible(p, idx, v.Type.Res, func(i int) bool { return i == displaced })
 			}
-			v.ResultOf = nr
+			if nr != v.ResultOf {
+				v.ResultOf = nr
+			}
 		})
 	}
 	return true
 }
 
-// valueRef locates one value inside a program.
+// valueRef locates one value inside a program: v, at walk position
+// pos (ForEachValue order) in call index call. The position finds the
+// same value in a copy of the call.
 type valueRef struct {
-	call int
-	v    *Value
+	call, pos int
+	v         *Value
 }
 
 // collectValues gathers every value matching pred, tagged with its
 // call index (mutation sites need the index to bound resource
-// binding).
-func collectValues(p *Prog, pred func(*Value) bool) []valueRef {
-	var out []valueRef
+// binding) and walk position. The result lives in a buffer the next
+// call reuses.
+func (g *Gen) collectValues(p *Prog, pred func(*Value) bool) []valueRef {
+	out := g.refs[:0]
 	for i, c := range p.Calls {
+		pos := 0
 		c.ForEachValue(func(v *Value) {
 			if pred(v) {
-				out = append(out, valueRef{call: i, v: v})
+				out = append(out, valueRef{call: i, pos: pos, v: v})
 			}
+			pos++
 		})
 	}
+	g.refs = out
 	return out
+}
+
+// valueAt returns the value at walk position pos (ForEachValue order).
+func (c *Call) valueAt(pos int) *Value {
+	var found *Value
+	c.ForEachValue(func(v *Value) {
+		if pos == 0 {
+			found = v
+		}
+		pos--
+	})
+	return found
 }
 
 // findCompatible returns the index of a random call before limit
@@ -311,7 +345,7 @@ func collectValues(p *Prog, pred func(*Value) bool) []valueRef {
 // none exists. skip, when non-nil, filters out candidate indices
 // (the rotation's displaced producer, a removal's dropped set).
 func (g *Gen) findCompatible(p *Prog, limit int, res string, skip func(int) bool) int {
-	var candidates []int
+	candidates := g.cands[:0]
 	for i := 0; i < limit && i < len(p.Calls); i++ {
 		if skip != nil && skip(i) {
 			continue
@@ -320,6 +354,7 @@ func (g *Gen) findCompatible(p *Prog, limit int, res string, skip func(int) bool
 			candidates = append(candidates, i)
 		}
 	}
+	g.cands = candidates
 	if len(candidates) == 0 {
 		return -1
 	}

@@ -37,95 +37,104 @@ type Prog struct {
 	Calls []*Call
 }
 
-// Clone deep-copies the program. Value nodes and Fields slices are
-// bump-allocated from chunked arenas: cloning is the fuzzing loop's
-// hottest allocation site (every mutation clones its seed), and
-// collapsing the per-node allocations into chunks roughly halves the
-// loop's GC pressure. Cloned nodes are ordinary addressable values;
-// callers may mutate them freely.
+// Clone deep-copies the program. A counting pass sizes one arena per
+// kind exactly (Value nodes, []*Value slots, Data bytes), so a clone
+// costs a fixed handful of allocations however large the program is.
+// Cloned nodes are ordinary addressable values; callers may mutate
+// them freely.
 func (p *Prog) Clone() *Prog {
-	a := cloneArena{chunk: arenaChunk}
+	var n arenaSize
+	for _, call := range p.Calls {
+		n.addCall(call)
+	}
+	a := newCloneArena(n)
+	calls := make([]Call, len(p.Calls))
 	c := &Prog{Calls: make([]*Call, len(p.Calls))}
 	for i, call := range p.Calls {
-		nc := &Call{Sc: call.Sc, Args: a.fields(len(call.Args))}
-		for j, arg := range call.Args {
-			nc.Args[j] = arg.cloneInto(&a)
-		}
-		c.Calls[i] = nc
+		calls[i] = Call{Sc: call.Sc, Args: a.cloneAll(call.Args)}
+		c.Calls[i] = &calls[i]
 	}
 	return c
 }
 
-// cloneArena bump-allocates Value nodes and []*Value backing arrays
-// in fixed-size chunks. Chunks are never grown in place, so issued
-// pointers and slices stay valid for the life of the clone.
+// clone deep-copies one call into its own exactly sized arena: the
+// unit of copy-on-write mutation (see Gen.own).
+func (c *Call) clone() *Call {
+	var n arenaSize
+	n.addCall(c)
+	a := newCloneArena(n)
+	return &Call{Sc: c.Sc, Args: a.cloneAll(c.Args)}
+}
+
+// arenaSize counts what a deep copy needs from each arena.
+type arenaSize struct{ nodes, ptrs, bytes int }
+
+func (n *arenaSize) addCall(c *Call) {
+	n.ptrs += len(c.Args)
+	for _, a := range c.Args {
+		n.add(a)
+	}
+}
+
+func (n *arenaSize) add(v *Value) {
+	if v == nil {
+		return
+	}
+	n.nodes++
+	n.ptrs += len(v.Fields)
+	n.bytes += len(v.Data)
+	for _, f := range v.Fields {
+		n.add(f)
+	}
+	n.add(v.Ptr)
+}
+
+// cloneArena hands out Value nodes, []*Value slots and Data bytes
+// from slabs sized by a counting pass. Slices are capped at their own
+// length, so a later append reallocates instead of clobbering a
+// neighbor.
 type cloneArena struct {
 	nodes []Value
 	ptrs  []*Value
-	// chunk is the size of the next chunk, doubling up to arenaChunk:
-	// single-value clones (Value.clone) allocate only a handful of
-	// nodes, whole-program clones quickly reach full-size chunks.
-	chunk int
+	data  []byte
 }
 
-const arenaChunk = 128
-
-func (a *cloneArena) nextChunk() int {
-	switch {
-	case a.chunk == 0:
-		a.chunk = 8
-	case a.chunk < arenaChunk:
-		a.chunk *= 2
+func newCloneArena(n arenaSize) cloneArena {
+	return cloneArena{
+		nodes: make([]Value, n.nodes),
+		ptrs:  make([]*Value, n.ptrs),
+		data:  make([]byte, n.bytes),
 	}
-	return a.chunk
 }
 
-func (a *cloneArena) node() *Value {
-	if len(a.nodes) == cap(a.nodes) {
-		a.nodes = make([]Value, 0, a.nextChunk())
-	}
-	a.nodes = a.nodes[:len(a.nodes)+1]
-	return &a.nodes[len(a.nodes)-1]
-}
-
-// fields carves an n-element pointer slice, capped at its own length
-// so a later append reallocates instead of clobbering neighbors.
-func (a *cloneArena) fields(n int) []*Value {
-	if n == 0 {
+func (a *cloneArena) cloneAll(vs []*Value) []*Value {
+	if len(vs) == 0 {
 		return nil
 	}
-	if len(a.ptrs)+n > cap(a.ptrs) {
-		c := a.nextChunk()
-		if n > c {
-			c = n
-		}
-		a.ptrs = make([]*Value, 0, c)
+	out := a.ptrs[:len(vs):len(vs)]
+	a.ptrs = a.ptrs[len(vs):]
+	for i, v := range vs {
+		out[i] = v.cloneInto(a)
 	}
-	i := len(a.ptrs)
-	a.ptrs = a.ptrs[:i+n]
-	return a.ptrs[i : i+n : i+n]
+	return out
 }
 
 func (v *Value) cloneInto(a *cloneArena) *Value {
 	if v == nil {
 		return nil
 	}
-	c := a.node()
+	c := &a.nodes[0]
+	a.nodes = a.nodes[1:]
 	*c = *v
-	c.Data = append([]byte(nil), v.Data...)
-	c.Fields = a.fields(len(v.Fields))
-	for i, f := range v.Fields {
-		c.Fields[i] = f.cloneInto(a)
+	c.Data = nil
+	if n := len(v.Data); n > 0 {
+		c.Data = a.data[:n:n]
+		a.data = a.data[n:]
+		copy(c.Data, v.Data)
 	}
+	c.Fields = a.cloneAll(v.Fields)
 	c.Ptr = v.Ptr.cloneInto(a)
 	return c
-}
-
-// clone deep-copies one value tree (single-node use; Prog.Clone
-// amortizes allocation across the whole program instead).
-func (v *Value) clone() *Value {
-	var a cloneArena
-	return v.cloneInto(&a)
 }
 
 // String renders the program in a syz-prog-like text form.
@@ -181,57 +190,73 @@ func (v *Value) String() string {
 // FixupLens computes every KindLen field from its sibling target:
 // element count for arrays, byte size otherwise. It must run after
 // any structural mutation and before encoding.
-func (c *Call) FixupLens() {
-	for i, f := range c.Sc.Args {
-		if f.Type.Kind != KindLen || i >= len(c.Args) {
-			continue
-		}
-		for j, g := range c.Sc.Args {
-			if g.Name == f.Type.LenTarget && j < len(c.Args) {
-				c.Args[i].Scalar = measure(c.Args[j], f.Type.InBytes)
-			}
-		}
-	}
+func (c *Call) FixupLens() { c.fixupLens(true) }
+
+// lensStale reports whether FixupLens would change any length field
+// of c. It never writes, so it is safe on calls shared with other
+// programs.
+func (c *Call) lensStale() bool { return c.fixupLens(false) }
+
+// fixupLens recomputes every length field of c, writing the results
+// when write is set, and reports whether any differed from the value
+// it held. Without write it stops at the first difference.
+func (c *Call) fixupLens(write bool) bool {
+	stale := fixupGroup(c.Sc.Args, c.Args, write)
 	for _, a := range c.Args {
-		a.fixupLensRec()
+		if stale && !write {
+			return true
+		}
+		stale = a.fixupLensRec(write) || stale
 	}
+	return stale
 }
 
-func (v *Value) fixupLensRec() {
+func (v *Value) fixupLensRec(write bool) bool {
 	if v == nil {
-		return
+		return false
 	}
+	stale := false
 	switch v.Type.Kind {
 	case KindPtr:
-		if v.Ptr != nil {
-			v.Ptr.fixupLensRec()
-		}
+		return v.Ptr.fixupLensRec(write)
 	case KindStruct:
-		fields := make([]*Value, len(v.Fields))
-		copy(fields, v.Fields)
-		fixupValueGroup(v.Type, fields)
-		for _, f := range v.Fields {
-			f.fixupLensRec()
-		}
+		stale = fixupGroup(v.Type.Fields, v.Fields, write)
 	case KindUnion, KindArray:
-		for _, f := range v.Fields {
-			f.fixupLensRec()
-		}
+	default:
+		return false
 	}
+	for _, f := range v.Fields {
+		if stale && !write {
+			return true
+		}
+		stale = f.fixupLensRec(write) || stale
+	}
+	return stale
 }
 
-// fixupValueGroup resolves len fields within one struct instance.
-func fixupValueGroup(st *Type, fields []*Value) {
-	for i, f := range st.Fields {
-		if f.Type.Kind != KindLen || i >= len(fields) {
+// fixupGroup resolves the len fields among one group of siblings: a
+// call's arguments or one struct instance's fields.
+func fixupGroup(fields []Field, vals []*Value, write bool) bool {
+	stale := false
+	for i, f := range fields {
+		if f.Type.Kind != KindLen || i >= len(vals) {
 			continue
 		}
-		for j, g := range st.Fields {
-			if g.Name == f.Type.LenTarget && j < len(fields) {
-				fields[i].Scalar = measure(fields[j], f.Type.InBytes)
+		for j, g := range fields {
+			if g.Name != f.Type.LenTarget || j >= len(vals) {
+				continue
+			}
+			n := measure(vals[j], f.Type.InBytes)
+			if vals[i].Scalar != n {
+				stale = true
+				if !write {
+					return true
+				}
+				vals[i].Scalar = n
 			}
 		}
 	}
+	return stale
 }
 
 // measure computes the len semantics for a target value: element
@@ -246,14 +271,70 @@ func measure(v *Value, inBytes bool) uint64 {
 		return measure(v.Ptr, inBytes)
 	case KindArray:
 		if inBytes {
-			return uint64(len(v.Encode()))
+			return uint64(v.encodedSize())
 		}
 		return uint64(len(v.Fields))
 	case KindString, KindBuffer:
 		return uint64(len(v.Data))
 	default:
-		return uint64(len(v.Encode()))
+		return uint64(v.encodedSize())
 	}
+}
+
+// encodedSize is len(v.Encode()) without encoding: the same walk as
+// encodeTo, with the same widths, alignment and padding.
+func (v *Value) encodedSize() int {
+	if v == nil {
+		return 0
+	}
+	switch v.Type.Kind {
+	case KindInt, KindConst, KindFlags, KindLen, KindResource:
+		if v.Type.Bytes == 0 {
+			return 4
+		}
+		return v.Type.Bytes
+	case KindString:
+		return len(v.Data) + 1
+	case KindBuffer:
+		return len(v.Data)
+	case KindPtr:
+		return 8
+	case KindArray:
+		size := 0
+		for _, f := range v.Fields {
+			size += f.encodedSize()
+		}
+		return size
+	case KindStruct:
+		size := 0
+		for i, f := range v.Fields {
+			var ft *Type
+			if i < len(v.Type.Fields) {
+				ft = v.Type.Fields[i].Type
+			} else {
+				ft = f.Type
+			}
+			size = alignUp(size, ft.align()) + f.encodedSize()
+		}
+		return alignUp(size, v.Type.align())
+	case KindUnion:
+		size := 0
+		if len(v.Fields) > 0 {
+			size = v.Fields[0].encodedSize()
+		}
+		if want := v.Type.Size(); size < want {
+			size = want
+		}
+		return size
+	}
+	return 0
+}
+
+func alignUp(n, a int) int {
+	if r := n % a; r != 0 {
+		n += a - r
+	}
+	return n
 }
 
 // Encode serializes the value to raw bytes under C layout rules

@@ -154,7 +154,7 @@ func TestEncodeStructLayout(t *testing.T) {
 			mk(st.Fields[5].Type.Elem, 0xdead), mk(st.Fields[5].Type.Elem, 0xbeef),
 		}},
 	}
-	fixupValueGroup(st, v.Fields)
+	fixupGroup(st.Fields, v.Fields, true)
 	if v.Fields[1].Scalar != 2 {
 		t.Fatalf("len fixup = %d, want 2 (elements)", v.Fields[1].Scalar)
 	}
@@ -263,6 +263,30 @@ func TestCompileErrors(t *testing.T) {
 	f := syzlang.MustParse("ioctl$X(fd fd, cmd const[MISSING_MACRO])\n")
 	if _, err := Compile(f, syzlang.NewEnv(nil)); err == nil {
 		t.Fatal("expected compile error for unknown constant")
+	}
+}
+
+// TestCompileCyclicResourceBase: Validate accepts resources whose
+// bases form a cycle, so Compile's consumer lists must not follow the
+// base chain forever.
+func TestCompileCyclicResourceBase(t *testing.T) {
+	f := syzlang.MustParse(`
+resource res_a[res_b]
+resource res_b[res_a]
+
+ioctl$A(fd res_a, cmd const[1])
+ioctl$B(fd res_b, cmd const[2])
+`)
+	env := syzlang.NewEnv(nil)
+	if errs := syzlang.Validate(f, env); len(errs) > 0 {
+		t.Fatalf("validate: %v", errs)
+	}
+	tgt, err := Compile(f, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tgt.Consumers("res_a")); got != 2 {
+		t.Fatalf("res_a has %d consumers, want 2 (its own and its base's)", got)
 	}
 }
 

@@ -106,31 +106,17 @@ type Target struct {
 	Resources map[string]*ResourceDesc
 	// creators maps resource name → syscall IDs producing it.
 	creators map[string][]int
-	// consumers maps resource name → syscall IDs taking it as an
-	// argument.
-	consumers map[string][]int
+	// consumers maps resource name → the syscalls Consumers returns,
+	// precomputed by Compile.
+	consumers map[string][]*Syscall
 }
 
 // Consumers returns the syscalls that can consume a value of the
 // given resource kind (direct consumers plus consumers of any
-// ancestor resource the value is compatible with).
+// ancestor resource the value is compatible with). The slice is
+// shared: callers must not modify it.
 func (t *Target) Consumers(res string) []*Syscall {
-	var out []*Syscall
-	seen := map[int]bool{}
-	for cur := res; cur != ""; {
-		for _, id := range t.consumers[cur] {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, t.Syscalls[id])
-			}
-		}
-		r := t.Resources[cur]
-		if r == nil {
-			break
-		}
-		cur = r.Base
-	}
-	return out
+	return t.consumers[res]
 }
 
 // Creators returns the syscalls whose return value satisfies the
