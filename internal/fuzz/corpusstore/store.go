@@ -10,13 +10,17 @@
 //
 // Writes are atomic — every file lands via temp-file + rename, and
 // the manifest is renamed into place last — so a crashed flush never
-// leaves a half-written store. Loading is tolerant: entries whose
+// leaves a half-written store. A save writes only the program files
+// its previous manifest does not list: a file is named by its
+// content, so a listed file is trusted to hold the right bytes, as
+// git trusts its object store. Loading is tolerant: entries whose
 // content no longer matches their address (corruption) or that no
 // longer deserialize against the current target (staleness after a
 // spec change) are skipped and reported, never fatal. Stores
 // accumulate across runs via Merge, which deduplicates by program
 // text, keeps the highest-weight copy, and bounds the result
-// deterministically.
+// deterministically. Load verifies every entry's address, so a listed
+// file corrupted out of band is reported, never trusted on read.
 //
 // A store expects one writer at a time; concurrent campaigns should
 // flush through a single merge point (as fuzz.RunParallel does).
@@ -150,23 +154,43 @@ func (s *Store) Manifest() (*Manifest, error) {
 	return m, nil
 }
 
+// TextFunc returns a program's serialized text. Merge and Save take
+// it from (*prog.Prog).Serialize; a caller that already holds the
+// text of every program it passes (the hub keeps one per program it
+// holds) hands MergeTexts and SaveTexts a lookup instead, so nothing
+// is serialized twice.
+type TextFunc func(*prog.Prog) string
+
 // Save atomically replaces the store contents with the given seeds
 // (typically a Merge result). Program files are written first, the
 // manifest is renamed into place last, and prog files no longer
 // referenced are removed best-effort — so a reader always sees a
-// consistent (old or new) store.
+// consistent (old or new) store. Only files the previous manifest
+// does not list are written: a listed file is named by the SHA-256 of
+// its content, so it already holds the right bytes (Load still
+// verifies every address).
 //
 // Save advances the store generation: entries whose program file the
 // previous manifest already indexed keep their admission generation,
 // new entries are stamped with the fresh one. An unreadable previous
 // manifest restarts the generation lineage rather than failing the
-// save (the data being written is intact either way).
+// save (the data being written is intact either way), and every file
+// is written.
 func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
+	_, err := s.SaveTexts((*prog.Prog).Serialize, seeds, coverBlocks)
+	return err
+}
+
+// SaveTexts is Save with each program's text taken from textOf. It
+// returns the manifest it wrote.
+func (s *Store) SaveTexts(textOf TextFunc, seeds []seedpool.SeedState, coverBlocks int) (*Manifest, error) {
+	listed := map[string]bool{}
 	prevGen := map[string]int{}
 	gen := 1
 	if prev, err := s.Manifest(); err == nil {
 		gen = prev.Generation + 1
 		for _, e := range prev.Seeds {
+			listed[e.File] = true
 			if e.Gen > 0 {
 				prevGen[e.File] = e.Gen
 			}
@@ -178,13 +202,15 @@ func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
 		if st.Prog == nil || st.Prio <= 0 {
 			continue
 		}
-		text := st.Prog.Serialize()
+		text := textOf(st.Prog)
 		name := FileFor(text)
 		if keep[name] {
 			continue // duplicate program; first (highest-ranked) entry wins
 		}
-		if err := writeAtomic(filepath.Join(s.dir, name), []byte(text)); err != nil {
-			return fmt.Errorf("corpusstore: %w", err)
+		if !listed[name] {
+			if err := writeAtomic(filepath.Join(s.dir, name), []byte(text)); err != nil {
+				return nil, fmt.Errorf("corpusstore: %w", err)
+			}
 		}
 		keep[name] = true
 		eg := gen
@@ -195,22 +221,22 @@ func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return fmt.Errorf("corpusstore: %w", err)
+		return nil, fmt.Errorf("corpusstore: %w", err)
 	}
 	if err := writeAtomic(filepath.Join(s.dir, manifestName), append(data, '\n')); err != nil {
-		return fmt.Errorf("corpusstore: %w", err)
+		return nil, fmt.Errorf("corpusstore: %w", err)
 	}
 	// Garbage-collect orphaned program files from earlier flushes.
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil // the save itself succeeded
+		return m, nil // the save itself succeeded
 	}
 	for _, e := range entries {
 		if name := e.Name(); strings.HasSuffix(name, progExt) && !keep[name] {
 			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
-	return nil
+	return m, nil
 }
 
 // writeAtomic lands data at path via temp file + rename.
@@ -308,6 +334,11 @@ func (s *Store) loadEntry(t *prog.Target, e Entry) (seedpool.SeedState, string) 
 // seedpool.DefaultCapacity) — fully deterministic for a fixed
 // argument order, independent of map iteration or completion order.
 func Merge(capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
+	return MergeTexts((*prog.Prog).Serialize, capacity, sets...)
+}
+
+// MergeTexts is Merge with each program's text taken from textOf.
+func MergeTexts(textOf TextFunc, capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
 	if capacity <= 0 {
 		capacity = seedpool.DefaultCapacity
 	}
@@ -322,7 +353,7 @@ func Merge(capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
 			if st.Prog == nil || st.Prio <= 0 {
 				continue
 			}
-			text := st.Prog.Serialize()
+			text := textOf(st.Prog)
 			if i, ok := index[text]; ok {
 				if st.Weight() > items[i].st.Weight() {
 					items[i].st = st

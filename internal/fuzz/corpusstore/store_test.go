@@ -15,7 +15,7 @@ import (
 
 var testCorpus = corpus.Build(corpus.TestConfig())
 
-func targetFor(t *testing.T, names ...string) *prog.Target {
+func targetFor(t testing.TB, names ...string) *prog.Target {
 	t.Helper()
 	f := &syzlang.File{}
 	for _, n := range names {
@@ -33,7 +33,7 @@ func targetFor(t *testing.T, names ...string) *prog.Target {
 }
 
 // genSeeds builds n distinct valid programs with synthetic weights.
-func genSeeds(t *testing.T, tgt *prog.Target, n int) []seedpool.SeedState {
+func genSeeds(t testing.TB, tgt *prog.Target, n int) []seedpool.SeedState {
 	t.Helper()
 	g := prog.NewGen(tgt, 7)
 	seen := map[string]bool{}
@@ -374,5 +374,30 @@ func TestDiffOnEmptyStore(t *testing.T) {
 	}
 	if len(seeds) != 0 || gen != 0 || rep.Loaded != 0 {
 		t.Fatalf("empty store diff: %d seeds gen %d %+v", len(seeds), gen, rep)
+	}
+}
+
+// BenchmarkStoreSave measures one store flush in the hub's shape: a
+// 64-seed image of which 4 programs are new each op (they replace the
+// 4 oldest), so each Save writes 4 program files, the manifest, and
+// removes 4 orphans.
+func BenchmarkStoreSave(b *testing.B) {
+	const image, fresh = 64, 4
+	tgt := targetFor(b, "dm", "cec", "kvm")
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeds := genSeeds(b, tgt, image+fresh*b.N)
+	if err := st.Save(seeds[:image], 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := fresh * (i + 1)
+		if err := st.Save(seeds[lo:lo+image], 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

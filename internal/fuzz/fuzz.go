@@ -164,7 +164,11 @@ type HubSync interface {
 // client diffs it against what it already shipped, so handing the
 // full cumulative state every time is correct and cheap.
 type SyncState struct {
-	// Seeds is the current corpus export (weight-ordered).
+	// Seeds is the current corpus export (weight-ordered). Its
+	// programs are the pool's own and are read-only: the pool never
+	// edits a program once admitted, so a hub client may key caches
+	// on the Prog pointers (hub.Client caches content addresses this
+	// way) and must not modify the programs.
 	Seeds []seedpool.SeedState
 	// Cover is the campaign's covered-block set. Read-only for the
 	// hook; it aliases live campaign state.

@@ -56,6 +56,10 @@ type Seed struct {
 	// evicted first, so long-lived discoveries are sticky. It doubles
 	// as the seed's stable ref for Reward.
 	seq uint64
+	// text caches the program's serialized text once Reconcile has
+	// needed it ("" until then); the program is read-only, so it
+	// never goes stale.
+	text string
 }
 
 // Weight is the seed's current scheduling weight (base priority plus
@@ -291,17 +295,23 @@ func (p *Pool) Import(seeds []SeedState) int {
 // admission policy. Returns seeds admitted and seeds reconciled
 // upward.
 //
-// Unlike Import, Reconcile serializes every retained program to build
-// the text index — checkpoint-cadence work, not hot-path work (and
-// skipped entirely for an empty batch, the steady state of a hub
-// sync with nothing new).
+// Unlike Import, Reconcile indexes every retained program by text.
+// Each seed's text is serialized the first time Reconcile needs it
+// and cached on the seed, so a call serializes only the incoming
+// programs and the seeds admitted since the last one (and an empty
+// batch, the steady state of a hub sync with nothing new, does no
+// work at all).
 func (p *Pool) Reconcile(seeds []SeedState) (added, reconciled int) {
 	if len(seeds) == 0 {
 		return 0, 0
 	}
 	index := make(map[string]uint64, len(p.seeds))
-	for _, s := range p.seeds {
-		index[s.Prog.Serialize()] = s.seq
+	for i := range p.seeds {
+		s := &p.seeds[i]
+		if s.text == "" {
+			s.text = s.Prog.Serialize()
+		}
+		index[s.text] = s.seq
 	}
 	for _, st := range seeds {
 		if st.Prog == nil || st.Prio <= 0 {
@@ -321,7 +331,7 @@ func (p *Pool) Reconcile(seeds []SeedState) (added, reconciled int) {
 			}
 			continue
 		}
-		s := Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus}
+		s := Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus, text: text}
 		seq := p.seq // admit assigns this seq
 		if p.admit(s) {
 			index[text] = seq

@@ -46,7 +46,13 @@ type Client struct {
 	gen      int               // guarded by mu
 	pushed   map[string]bool   // guarded by mu
 	lastCov  *vkernel.CoverSet // guarded by mu
-	crashes  map[string]int    // guarded by mu
+	// addrs caches content addresses by program: pooled programs are
+	// read-only (fuzz.SyncState), so a program needs serializing only
+	// the first time a sync sees it. Each sync rebuilds the cache from
+	// its snapshot and adds what it pulled, so it never holds more
+	// than one snapshot plus one pull.
+	addrs   map[*prog.Prog]string // guarded by mu
+	crashes map[string]int        // guarded by mu
 
 	// HubFingerprint is the hub target's fingerprint as reported at
 	// registration (read-only after Dial).
@@ -188,20 +194,31 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 		},
 	}
 	// Corpus delta: seeds whose content address the hub has not seen
-	// from us (either direction), capped per batch.
+	// from us (either direction), capped per batch. Only programs new
+	// to the address cache are serialized to find their address.
 	sentFiles := make([]string, 0, MaxPushBatch)
+	addrs := make(map[*prog.Prog]string, len(st.Seeds))
 	for _, s := range st.Seeds {
 		if len(req.Seeds) >= MaxPushBatch {
 			break // remainder ships at the next boundary
 		}
-		text := s.Prog.Serialize()
-		file := corpusstore.FileFor(text)
+		var text string
+		file, cached := c.addrs[s.Prog]
+		if !cached {
+			text = s.Prog.Serialize()
+			file = corpusstore.FileFor(text)
+		}
+		addrs[s.Prog] = file
 		if c.pushed[file] {
 			continue
+		}
+		if cached {
+			text = s.Prog.Serialize()
 		}
 		req.Seeds = append(req.Seeds, WireSeed{Text: text, Prio: s.Prio, Bonus: s.Bonus, Op: s.Op})
 		sentFiles = append(sentFiles, file)
 	}
+	c.addrs = addrs
 	// Coverage delta: blocks covered since the previous successful
 	// sync.
 	st.Cover.ForEach(func(b vkernel.BlockID) {
@@ -281,7 +298,12 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 		if err != nil {
 			continue
 		}
-		c.pushed[corpusstore.FileFor(ws.Text)] = true
+		file := corpusstore.FileFor(ws.Text)
+		c.pushed[file] = true
+		if text := p.Serialize(); text != ws.Text {
+			file = corpusstore.FileFor(text) // our target renders it differently
+		}
+		c.addrs[p] = file
 		out = append(out, seedpool.SeedState{Prog: p, Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
 	}
 	return out, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,5 +228,56 @@ func TestReRegistrationPreservesDialSnapshot(t *testing.T) {
 	}
 	if c.HubFingerprint != "fp-dial" || c.HubSeeds != 7 {
 		t.Fatalf("re-registration rewrote the Dial snapshot: %q/%d", c.HubFingerprint, c.HubSeeds)
+	}
+}
+
+// TestRunParallelSharedClient runs two sharded hub-attached campaigns
+// at once. Each shares one Client across its units, and every unit
+// warm-starts from the same stored programs, so the client's address
+// cache is keyed by programs that concurrent units are mutating from.
+// Under -race this checks that the cache reads pooled programs only.
+func TestRunParallelSharedClient(t *testing.T) {
+	tgt := targetFor(t, "dm", "cec")
+	h, srv := newHub(t, tgt)
+	f := fuzz.New(tgt, testKernel)
+	ctx := context.Background()
+	corpusDir := t.TempDir()
+	warm := fuzz.DefaultConfig(2000, 3)
+	warm.CorpusDir = corpusDir
+	if _, err := f.RunContext(ctx, warm); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, seed := range []int64{5, 6} {
+		c, err := Dial(ctx, srv.URL, []string{"w-a", "w-b"}[i], tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fuzz.DefaultConfig(6000, seed)
+		cfg.ShardExecs = 1024
+		cfg.CorpusDir = corpusDir
+		cfg.ReadOnlyCorpus = true
+		cfg.Hub = c
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = f.RunParallel(ctx, cfg, 3)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+	st := h.Stats()
+	if st.Seeds == 0 || len(st.Workers) != 2 {
+		t.Fatalf("hub holds %d seeds from %d workers", st.Seeds, len(st.Workers))
+	}
+	for _, w := range st.Workers {
+		if !w.Final || w.Sync.Count < 6 {
+			t.Fatalf("worker %s: final=%v after %d syncs, want a final sync after every unit", w.Name, w.Final, w.Sync.Count)
+		}
 	}
 }

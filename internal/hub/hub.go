@@ -37,6 +37,12 @@ const (
 // the union coverage map. All request handling serializes on one
 // mutex — the hub's unit of work is a batch exchange at checkpoint
 // cadence, not a hot path.
+//
+// The hub keeps one serialized text per program it holds. A program
+// is serialized once, when the hub admits it (or loads it from the
+// store); merging, saving and serving pull diffs all read that text,
+// so a sync costs work in proportion to what it brings, not to the
+// size of the corpus.
 type Hub struct {
 	target *prog.Target
 	store  *corpusstore.Store
@@ -63,11 +69,13 @@ type Hub struct {
 	inflight atomic.Int64
 
 	mu sync.Mutex
-	// states is the merged corpus image (what the store holds);
+	// states is the merged corpus image (what the store holds), and
+	// held names each of its programs' text and content address;
 	// entries/generation mirror the store manifest after each save,
 	// so pull diffs reuse the store's generation bookkeeping. texts
-	// caches each entry's serialized program by file name.
+	// indexes the held texts by file name.
 	states  []seedpool.SeedState    // guarded by mu
+	held    map[*prog.Prog]progText // guarded by mu
 	entries []corpusstore.Entry     // guarded by mu
 	gen     int                     // guarded by mu
 	texts   map[string]string       // guarded by mu
@@ -80,6 +88,15 @@ type Hub struct {
 	rejectedSeeds int // guarded by mu
 	crashReports  int // guarded by mu
 	start         time.Time
+}
+
+// progText is one held program's serialized text and content
+// address.
+type progText struct{ text, file string }
+
+func newProgText(p *prog.Prog) progText {
+	text := p.Serialize()
+	return progText{text: text, file: corpusstore.FileFor(text)}
 }
 
 // worker is one registered campaign's bookkeeping.
@@ -227,7 +244,6 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 		store:   store,
 		logf:    func(string, ...any) {},
 		now:     telemetry.SystemClock,
-		texts:   map[string]string{},
 		cover:   &vkernel.CoverSet{},
 		crashes: map[string]*crashRecord{},
 		workers: map[string]*worker{},
@@ -246,37 +262,67 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 	if err != nil {
 		return nil, fmt.Errorf("hub: %w", err)
 	}
-	h.states = states
 	if len(rep.Skipped) > 0 {
 		h.logf("hub: store load skipped %d entries", len(rep.Skipped))
 	}
-	if err := h.refreshIndex(); err != nil {
-		return nil, err
+	m, err := store.Manifest()
+	if err != nil {
+		return nil, fmt.Errorf("hub: %w", err)
 	}
+	h.hold(states, nil, m)
 	if err := h.loadState(); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// refreshIndex re-reads the store manifest into the in-memory mirror
-// (entries with generations, current generation, text cache).
-// Callers hold h.mu, or have exclusive access (New).
+// hold installs a new corpus image and the manifest the store wrote
+// for it. Programs already held keep their text; fresh names the text
+// of programs new to the hub, and anything in neither is serialized
+// here. Callers hold h.mu, or have exclusive access (New).
 //
 //syzlint:locked mu
-func (h *Hub) refreshIndex() error {
-	m, err := h.store.Manifest()
-	if err != nil {
-		return fmt.Errorf("hub: %w", err)
+func (h *Hub) hold(states []seedpool.SeedState, fresh map[*prog.Prog]progText, m *corpusstore.Manifest) {
+	held := make(map[*prog.Prog]progText, len(states))
+	texts := make(map[string]string, len(states))
+	for _, st := range states {
+		pt, ok := h.held[st.Prog]
+		if !ok {
+			if pt, ok = fresh[st.Prog]; !ok {
+				pt = newProgText(st.Prog)
+			}
+		}
+		held[st.Prog] = pt
+		texts[pt.file] = pt.text
 	}
+	h.states, h.held, h.texts = states, held, texts
 	h.entries = m.Seeds
 	h.gen = m.Generation
-	texts := make(map[string]string, len(h.states))
-	for _, st := range h.states {
-		text := st.Prog.Serialize()
-		texts[corpusstore.FileFor(text)] = text
+}
+
+// admitLocked merges programs new to the hub into the corpus image and
+// saves it, serializing each incoming program once. The image changes
+// only after the store accepts it, so a failed save leaves stats, pull
+// diffs, and disk agreeing. Callers hold h.mu.
+//
+//syzlint:locked mu
+func (h *Hub) admitLocked(incoming []seedpool.SeedState) error {
+	fresh := make(map[*prog.Prog]progText, len(incoming))
+	for _, st := range incoming {
+		fresh[st.Prog] = newProgText(st.Prog)
 	}
-	h.texts = texts
+	textOf := func(p *prog.Prog) string {
+		if pt, ok := h.held[p]; ok {
+			return pt.text
+		}
+		return fresh[p].text
+	}
+	merged := corpusstore.MergeTexts(textOf, h.cap, h.states, incoming)
+	m, err := h.store.SaveTexts(textOf, merged, h.cover.Count())
+	if err != nil {
+		return err
+	}
+	h.hold(merged, fresh, m)
 	return nil
 }
 
@@ -593,17 +639,10 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	h.rejectedSeeds += rejected
 	if len(incoming) > 0 {
-		// Commit to memory only after the store accepts the image, so
-		// a failed save leaves stats, pull diffs, and disk agreeing
-		// (the client retries the whole sync).
-		merged := corpusstore.Merge(h.cap, h.states, incoming)
-		if err := h.store.Save(merged, h.cover.Count()); err != nil {
+		// A failed save changes nothing; the client retries the whole
+		// sync.
+		if err := h.admitLocked(incoming); err != nil {
 			writeError(w, http.StatusInternalServerError, "store save: %v", err)
-			return
-		}
-		h.states = merged
-		if err := h.refreshIndex(); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 	}

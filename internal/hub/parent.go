@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"kernelgpt/internal/fuzz"
-	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 )
 
@@ -80,12 +79,7 @@ func (h *Hub) SyncParent(ctx context.Context, client *Client, final bool) (int, 
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	merged := corpusstore.Merge(h.cap, h.states, imported)
-	if err := h.store.Save(merged, h.cover.Count()); err != nil {
-		return 0, err
-	}
-	h.states = merged
-	if err := h.refreshIndex(); err != nil {
+	if err := h.admitLocked(imported); err != nil {
 		return 0, err
 	}
 	h.persistLocked()
